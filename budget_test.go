@@ -106,7 +106,7 @@ func TestAdvancedCompositionAllowsMoreReleases(t *testing.T) {
 	want := composedEpsilon(CompositionAdvanced, eps, advanced, delta)
 	s := newSessionT(t, WithEpsilon(eps), WithAdvancedComposition(delta))
 	for i := 0; i < advanced; i++ {
-		if err := s.debit(eps); err != nil {
+		if err := s.debit(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,5 +170,59 @@ func TestGroupSizeOption(t *testing.T) {
 	}
 	if _, err := NewSession(WithGroupSize(-2)); err == nil {
 		t.Fatal("negative group size accepted")
+	}
+}
+
+// TestBudgetPricesVectorReleasesPerCoordinate pins the session ledger to the
+// system's own charge: a d-dimensional release without SplitVectorBudget
+// spends d·ε, so the session must admit and account it at that price.
+func TestBudgetPricesVectorReleasesPerCoordinate(t *testing.T) {
+	vec := VectorSum[user]("v", 3, func(u user) []float64 {
+		active := 0.0
+		if u.Active {
+			active = 1
+		}
+		return []float64{u.Spend, active, 1}
+	})
+	users := testUsers(100)
+
+	// A 3-dimensional release costs 0.3 and cannot fit a 0.25 cap.
+	s := newSessionT(t, WithSampleSize(20), WithEpsilon(0.1), WithTotalBudget(0.25))
+	if _, err := Release(s, vec, users, nil); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("3-dim release under cap 0.25: error = %v, want ErrBudgetExhausted", err)
+	}
+	if s.SpentBudget() != 0 || s.sys.EpsilonSpent() != 0 {
+		t.Fatalf("refused release spent session %v, system %v", s.SpentBudget(), s.sys.EpsilonSpent())
+	}
+	// Split across its coordinates, the same release costs one ε.
+	split := newSessionT(t, WithSampleSize(20), WithEpsilon(0.1), WithTotalBudget(0.25), WithSplitVectorBudget())
+	for i := 0; i < 2; i++ {
+		if _, err := Release(split, vec, users, nil); err != nil {
+			t.Fatalf("split release %d: %v", i, err)
+		}
+	}
+	if _, err := Release(split, vec, users, nil); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("third split release error = %v, want ErrBudgetExhausted", err)
+	}
+
+	// Under linear composition the session's ledger and the system's charge
+	// agree after any mix of scalar and vector releases.
+	mixed := newSessionT(t, WithSampleSize(20), WithEpsilon(0.1))
+	for i, q := range []Query[user]{Count[user]("c", nil), vec, Count[user]("c2", nil), vec} {
+		if _, err := Release(mixed, q, users, nil); err != nil {
+			t.Fatalf("release %d: %v", i, err)
+		}
+	}
+	if got, want := mixed.SpentBudget(), mixed.sys.EpsilonSpent(); math.Abs(got-want) > 1e-12 || math.Abs(got-0.8) > 1e-12 {
+		t.Fatalf("SpentBudget = %v, system EpsilonSpent = %v, want both 0.8", got, want)
+	}
+
+	// Under advanced composition k counts ε-units: one vector release is 3.
+	adv := newSessionT(t, WithSampleSize(20), WithEpsilon(0.1), WithAdvancedComposition(1e-6))
+	if _, err := Release(adv, vec, users, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := adv.SpentBudget(), composedEpsilon(CompositionAdvanced, 0.1, 3, 1e-6); math.Abs(got-want) > 1e-12 {
+		t.Fatalf("advanced SpentBudget = %v, want %v (k = 3 ε-units)", got, want)
 	}
 }

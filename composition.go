@@ -32,8 +32,8 @@ func WithAdvancedComposition(delta float64) Option {
 	}
 }
 
-// composedEpsilon returns the ε consumed by k releases of eps0 each under
-// the session's composition mode.
+// composedEpsilon returns the ε consumed by k ε-units of eps0 each (as
+// priced by core.ReleasePrice) under the session's composition mode.
 func composedEpsilon(mode Composition, eps0 float64, k int, delta float64) float64 {
 	if k <= 0 {
 		return 0

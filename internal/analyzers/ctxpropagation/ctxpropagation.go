@@ -26,8 +26,10 @@ var Analyzer = &analysis.Analyzer{
 
 // ctxVariants maps each non-Ctx dataset/engine entry point to its
 // context-accepting sibling. Matching is by callee name, so both
-// method-style (d.Collect()) and function-style (mapreduce.ReduceByKey,
-// core.Run) call sites are covered.
+// method-style (d.Collect()) and function-style (mapreduce.Reduce,
+// core.Run) call sites are covered. Lazy transformations (ReduceByKey,
+// Join, ...) have no Ctx sibling: their shuffles run under the context of
+// the action that collects them, so a dropped context is caught there.
 var ctxVariants = map[string]string{
 	"Collect":           "CollectCtx",
 	"CollectPartitions": "CollectPartitionsCtx",
@@ -35,11 +37,6 @@ var ctxVariants = map[string]string{
 	"Reduce":            "ReduceCtx",
 	"ReduceByPartition": "ReduceByPartitionCtx",
 	"Aggregate":         "AggregateCtx",
-	"ReduceByKey":       "ReduceByKeyCtx",
-	"GroupByKey":        "GroupByKeyCtx",
-	"CombineByKey":      "CombineByKeyCtx",
-	"Join":              "JoinCtx",
-	"CoGroup":           "CoGroupCtx",
 	"Top":               "TopCtx",
 	"Run":               "RunCtx",
 }

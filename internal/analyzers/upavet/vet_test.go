@@ -54,7 +54,6 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 		{filepath.Join("internal", "mapreduce", "dataset.go"), "ctxpropagation"},
 		{filepath.Join("internal", "mapreduce", "reduce.go"), "ctxpropagation"},
 		{filepath.Join("internal", "mapreduce", "sort.go"), "ctxpropagation"},
-		{filepath.Join("internal", "mapreduce", "shuffle.go"), "ctxpropagation"},
 		{filepath.Join("internal", "core", "run.go"), "ctxpropagation"},
 		// The jobgraph's default wall clock behind WithClock.
 		{filepath.Join("internal", "jobgraph", "jobgraph.go"), "seededdeterminism"},

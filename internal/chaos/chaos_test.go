@@ -97,41 +97,6 @@ func TestSlotZeroImmune(t *testing.T) {
 	}
 }
 
-// TestCountedFaultsConsumeFirst pins the legacy InjectFaults compatibility:
-// counted faults fire ahead of (and independent of) the seeded rates.
-func TestCountedFaultsConsumeFirst(t *testing.T) {
-	j := New(Policy{}) // zero rates: only counted faults can fire
-	j.AddCountedFaults(3)
-	fired := 0
-	for task := 0; task < 10; task++ {
-		if j.TaskFault("s", task, 1) {
-			fired++
-		}
-	}
-	if fired != 3 {
-		t.Errorf("counted faults fired %d times, want 3", fired)
-	}
-	s := j.Snapshot()
-	if s.Faults != 3 || s.CountedFaults != 3 {
-		t.Errorf("counters = %+v, want 3 counted faults", s)
-	}
-}
-
-// TestStageFaultIgnoresCountedQueue: the legacy counted queue targets engine
-// task attempts; a stage scheduler sharing the injector must not drain it.
-func TestStageFaultIgnoresCountedQueue(t *testing.T) {
-	j := New(Policy{}) // zero rates: only counted faults could fire
-	j.AddCountedFaults(3)
-	for i := 0; i < 10; i++ {
-		if j.StageFault("s", i, 1) {
-			t.Fatal("StageFault consumed a counted engine fault")
-		}
-	}
-	if !j.TaskFault("s", 0, 1) {
-		t.Fatal("counted fault vanished before the engine could take it")
-	}
-}
-
 // TestPolicyValidate rejects out-of-range rates; New clamps them to no-op.
 func TestPolicyValidate(t *testing.T) {
 	if err := (Policy{TaskFaultRate: 1.0}).Validate(); err == nil {

@@ -84,6 +84,10 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	}
 	res.SampleSize = n
 
+	// The release's price: the perturb stage draws noise at effEps, and a
+	// successful release charges units ε-units.
+	effEps, units := ReleasePrice(sys.cfg, q.OutputDim)
+
 	reduce := q.reducer()
 	// Cache key for R(M(S')): the sensitivity loop re-reads it once per
 	// sampled neighbouring dataset, which is the Spark memory-cache reuse
@@ -402,10 +406,6 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 		// their noise streams deterministic per release number. Under
 		// SplitVectorBudget, vector outputs split ε across coordinates so
 		// the whole release composes to one ε.
-		effEps := sys.cfg.Epsilon
-		if sys.cfg.SplitVectorBudget && q.OutputDim > 1 {
-			effEps /= float64(q.OutputDim)
-		}
 		res.EffectiveEpsilon = effEps
 		mech, err := stats.NewMechanism(effEps, rng.Split(4))
 		if err != nil {
@@ -427,7 +427,7 @@ func RunCtx[T any](ctx context.Context, sys *System, q Query[T], data []T, domai
 	// Charge the budget ledger exactly once, only after the whole release
 	// succeeded: recomputation under faults must never double-spend ε, and a
 	// failed release spends nothing (no output was published).
-	sys.chargeEpsilon(res.EffectiveEpsilon * float64(q.OutputDim))
+	sys.chargeEpsilon(float64(units) * sys.cfg.Epsilon)
 	res.Phases = phasesFromSpans(spans)
 	res.EngineDelta = eng.Metrics().Sub(before)
 	if logger := sys.cfg.Logger; logger != nil {

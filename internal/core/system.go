@@ -35,14 +35,6 @@ type Config struct {
 	// keeps releases silent.
 	Logger *slog.Logger
 
-	// OnCharge, when non-nil, observes every ε-ledger charge the instant it
-	// lands (the argument is the charged ε). Serving layers use it to
-	// reconcile their own admission-time accounting against the system's
-	// actual spend — any divergence means an admission path mispriced a
-	// release. The hook runs on the charging goroutine and must not block;
-	// it observes, it cannot veto.
-	OnCharge func(eps float64)
-
 	// GroupSize extends the guarantee from individuals to groups of up to
 	// GroupSize records (the §VI-E future-work extension): besides the
 	// single-record neighbours, UPA evaluates block removals and block
@@ -125,15 +117,31 @@ type System struct {
 	releases atomic.Uint64
 	id       uint64
 	// epsilonSpentBits is the iDP budget ledger: the float64 bits of the
-	// total ε charged across successful releases (EffectiveEpsilon ×
-	// OutputDim each). A CAS accumulator rather than a mutex so concurrent
-	// releases stay lock-free; charged exactly once per successful release —
-	// the chaos soak test pins that fault recomputation never double-spends.
+	// total ε charged across successful releases (ReleasePrice's units ×
+	// Config.Epsilon each). A CAS accumulator rather than a mutex so
+	// concurrent releases stay lock-free; charged exactly once per
+	// successful release — the chaos soak test pins that fault
+	// recomputation never double-spends.
 	epsilonSpentBits atomic.Uint64
 }
 
-// chargeEpsilon adds eps to the system's spent-budget ledger and notifies
-// the OnCharge observer, if any.
+// ReleasePrice decides what one release of a query with outputDim output
+// coordinates costs under cfg. effEps is the per-coordinate ε the noise is
+// drawn at; units is how many ε-units of cfg.Epsilon the release composes
+// to: outputDim for a vector release (each coordinate spends the whole ε),
+// one for a scalar release or a vector split under SplitVectorBudget. RunCtx's
+// charge and a session's admission of a release both price through it, so
+// for releases that go through RunCtx the two ledgers agree. Keyed releases
+// (upa.ReleaseByKey) do not run through RunCtx: the session admits each at
+// one ε-unit and the system's ledger never sees them.
+func ReleasePrice(cfg Config, outputDim int) (effEps float64, units int) {
+	if outputDim > 1 && !cfg.SplitVectorBudget {
+		return cfg.Epsilon, outputDim
+	}
+	return cfg.Epsilon / float64(max(outputDim, 1)), 1
+}
+
+// chargeEpsilon adds eps to the system's spent-budget ledger.
 func (s *System) chargeEpsilon(eps float64) {
 	for {
 		old := s.epsilonSpentBits.Load()
@@ -141,9 +149,6 @@ func (s *System) chargeEpsilon(eps float64) {
 		if s.epsilonSpentBits.CompareAndSwap(old, next) {
 			break
 		}
-	}
-	if s.cfg.OnCharge != nil {
-		s.cfg.OnCharge(eps)
 	}
 }
 

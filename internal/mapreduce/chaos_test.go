@@ -20,13 +20,15 @@ import (
 // carry the site label, the partition index, and the original error by
 // wrapping.
 func TestExhaustionErrorCarriesSiteAndOriginalError(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+	// The seed fails both attempts of the single task.
+	inj := seededFaults(1, 0.9)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(10)
 	_, err = d.Collect()
+	assertFaultsFired(t, eng, inj)
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect = %v, want ErrTaskFailed", err)
 	}
@@ -136,13 +138,16 @@ func TestSeededChaosReproducible(t *testing.T) {
 // TestRetryBudgetFailsFast: once the per-job retry budget is spent, the next
 // failure is terminal even though the task has attempts left.
 func TestRetryBudgetFailsFast(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 10, RetryBudget: 1}))
+	// The seed fails the task's first two attempts: the first retry spends
+	// the budget, the second failure is terminal.
+	inj := seededFaults(1, 0.9)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 10, RetryBudget: 1}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(5)
 	_, err = d.Collect()
+	assertFaultsFired(t, eng, inj)
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect = %v, want ErrTaskFailed", err)
 	}

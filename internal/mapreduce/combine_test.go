@@ -174,10 +174,11 @@ func TestCombineByKeyMatchesReduceByKeyOrder(t *testing.T) {
 	}
 }
 
-// TestReduceByKeyCtxBoundCancellation checks the bound-context variants: a
-// cancelled construction-time context aborts the shuffle even through a plain
-// Collect, and a live one changes nothing.
-func TestReduceByKeyCtxBoundCancellation(t *testing.T) {
+// TestShuffleActionContextCancellation checks that a shuffle is cancelled
+// through the context of the action that collects it: every wide
+// transformation collected with a cancelled context fails with
+// context.Canceled, and a live one changes nothing.
+func TestShuffleActionContextCancellation(t *testing.T) {
 	eng := NewEngine(WithWorkers(2))
 	pairs := make([]Pair[int, int], 50)
 	for i := range pairs {
@@ -189,31 +190,31 @@ func TestReduceByKeyCtxBoundCancellation(t *testing.T) {
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ReduceByKeyCtx(cancelled, ds, func(a, b int) int { return a + b }).Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("ReduceByKeyCtx(cancelled).Collect = %v, want context.Canceled", err)
+	rbk := ReduceByKey(ds, func(a, b int) int { return a + b })
+	if _, err := rbk.CollectCtx(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("ReduceByKey CollectCtx(cancelled) = %v, want context.Canceled", err)
 	}
-	if _, err := GroupByKeyCtx(cancelled, ds).Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("GroupByKeyCtx(cancelled).Collect = %v, want context.Canceled", err)
+	if _, err := GroupByKey(ds).CollectCtx(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("GroupByKey CollectCtx(cancelled) = %v, want context.Canceled", err)
 	}
-	joined, err := JoinCtx(cancelled, ds, ds)
+	joined, err := Join(ds, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := joined.Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("JoinCtx(cancelled).Collect = %v, want context.Canceled", err)
+	if _, err := joined.CollectCtx(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("Join CollectCtx(cancelled) = %v, want context.Canceled", err)
 	}
-	cogrouped, err := CoGroupCtx(cancelled, ds, ds)
+	cogrouped, err := CoGroup(ds, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cogrouped.Collect(); !errors.Is(err, context.Canceled) {
-		t.Errorf("CoGroupCtx(cancelled).Collect = %v, want context.Canceled", err)
+	if _, err := cogrouped.CollectCtx(cancelled); !errors.Is(err, context.Canceled) {
+		t.Errorf("CoGroup CollectCtx(cancelled) = %v, want context.Canceled", err)
 	}
 
-	live := ReduceByKeyCtx(context.Background(), ds, func(a, b int) int { return a + b })
-	out, err := live.Collect()
+	out, err := rbk.CollectCtx(context.Background())
 	if err != nil || len(out) != 5 {
-		t.Fatalf("live bound context: %d records, %v; want 5, nil", len(out), err)
+		t.Fatalf("live context: %d records, %v; want 5, nil", len(out), err)
 	}
 }
 
@@ -254,14 +255,13 @@ func TestShuffleRetriesAfterCancellation(t *testing.T) {
 	}
 }
 
-// TestShuffleRetriesAfterFaultExhaustion poisons the shuffle itself: faults
-// injected from inside the shuffle's source collection exhaust the attempt
-// budget, so the shuffle fails after the lineage retries. The old sync.Once
-// memoization cached that failure and every later collection of the dataset
-// returned it; the fix retries the shuffle, which succeeds once the faults
-// are spent.
-func TestShuffleRetriesAfterFaultExhaustion(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+// TestShuffleRetriesAfterSourceError poisons the shuffle itself: the
+// shuffle's source collection fails once with an application error, so the
+// first collection fails. The old sync.Once memoization cached that failure
+// and every later collection of the dataset returned it; the fix retries
+// the shuffle, which succeeds once the source does.
+func TestShuffleRetriesAfterSourceError(t *testing.T) {
+	eng := NewEngine(WithWorkers(1))
 	pairs := make([]Pair[int, int], 40)
 	for i := range pairs {
 		pairs[i] = Pair[int, int]{Key: i % 4, Value: 1}
@@ -270,26 +270,23 @@ func TestShuffleRetriesAfterFaultExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The first mapped record injects exactly enough faults to exhaust the
-	// other source partition's attempts. Injecting mid-task lands the faults
-	// inside the shuffle's collection, past the current attempt's fault
-	// check.
+	boom := errors.New("source failed")
 	var poison atomic.Bool
 	poison.Store(true)
-	mapped := Map(ds, func(p Pair[int, int]) Pair[int, int] {
+	mapped := MapPartitions(ds, func(_ int, in []Pair[int, int]) ([]Pair[int, int], error) {
 		if poison.CompareAndSwap(true, false) {
-			eng.InjectFaults(2)
+			return nil, boom
 		}
-		return p
+		return in, nil
 	})
 	rbk := ReduceByKey(mapped, func(a, b int) int { return a + b })
 
-	if _, err := rbk.Collect(); !errors.Is(err, ErrTaskFailed) {
-		t.Fatalf("Collect with exhausted retries = %v, want ErrTaskFailed", err)
+	if _, err := rbk.Collect(); !errors.Is(err, boom) {
+		t.Fatalf("Collect with a failing source = %v, want %v", err, boom)
 	}
 	out, err := rbk.Collect()
 	if err != nil {
-		t.Fatalf("Collect after faults drained = %v, want recovery", err)
+		t.Fatalf("Collect after the source recovered = %v, want recovery", err)
 	}
 	if len(out) != 4 {
 		t.Fatalf("got %d keys after retry, want 4", len(out))

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
 // TestCancelledContextStopsScheduling cancels the context from inside the
@@ -29,20 +31,28 @@ func TestCancelledContextStopsScheduling(t *testing.T) {
 	}
 }
 
-// TestCancelledContextStopsRetries cancels during a fault-retry loop: the
-// attempt budget must not be spent on a dead job.
+// TestCancelledContextStopsRetries arms an injector that fails every attempt
+// of the task: on a live context the job burns all its attempts, but on a
+// cancelled one the attempt budget must not be spent on a dead job.
 func TestCancelledContextStopsRetries(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(100))
+	inj := seededFaults(1, 0.999999)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 100}), WithChaos(inj))
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	eng.InjectFaults(100)
 	cancel()
-	err := eng.runTasks(ctx, "test:cancel-retries", 1, func(context.Context, int) error { return nil })
+	task := func(context.Context, int) error { return nil }
+	err := eng.runTasks(ctx, "test:cancel-retries", 1, task)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("runTasks = %v, want context.Canceled", err)
 	}
 	if got := eng.Metrics().TaskAttempts; got != 0 {
 		t.Fatalf("attempts under cancelled context = %d, want 0", got)
+	}
+	if err := eng.runTasks(context.Background(), "test:cancel-retries", 1, task); !errors.Is(err, ErrTaskFailed) {
+		t.Fatalf("runTasks on a live context = %v, want ErrTaskFailed", err)
+	}
+	assertFaultsFired(t, eng, inj)
+	if got := inj.Snapshot().Faults; got != 100 {
+		t.Errorf("faults on the live context = %d, want all 100 attempts", got)
 	}
 }
 

@@ -31,9 +31,9 @@ type Engine struct {
 	metrics Metrics
 
 	// inj is the seeded chaos injector deciding which task attempts fail,
-	// straggle, or lose their worker slot. Nil-safe: a nil injector injects
-	// nothing. Swappable at runtime so tests can arm chaos mid-stream.
-	inj atomic.Pointer[chaos.Injector]
+	// straggle, or lose their worker slot. Set once by WithChaos at
+	// construction; nil-safe: a nil injector injects nothing.
+	inj *chaos.Injector
 
 	cache *ReductionCache
 
@@ -61,18 +61,6 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithMaxAttempts sets how many times a failing task is retried from lineage
-// before the job is abandoned. Values below one fall back to one. It is the
-// single-knob shorthand for WithRetryPolicy.
-func WithMaxAttempts(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.policy.MaxAttempts = n
-	}
-}
-
 // WithRetryPolicy sets the full retry contract: attempts per task,
 // exponential backoff with seeded jitter, per-attempt deadline, and the
 // per-job retry budget.
@@ -80,9 +68,10 @@ func WithRetryPolicy(p chaos.RetryPolicy) Option {
 	return func(e *Engine) { e.policy = p }
 }
 
-// WithChaos arms the engine with a seeded fault injector. Nil disarms.
+// WithChaos arms the engine with a seeded fault injector for its whole
+// lifetime. Nil, the default, injects nothing.
 func WithChaos(inj *chaos.Injector) Option {
-	return func(e *Engine) { e.inj.Store(inj) }
+	return func(e *Engine) { e.inj = inj }
 }
 
 // WithMemoryBudget caps the estimated bytes of materialized partitions,
@@ -105,15 +94,13 @@ func NewEngine(opts ...Option) *Engine {
 		policy:  chaos.DefaultRetryPolicy(),
 	}
 	e.cache = newReductionCache(&e.metrics)
-	// The spill store's filesystem is always the chaos wrapper: it reads
-	// the injector through e.Chaos at each operation, so SetChaos arms and
-	// disarms disk faults at runtime, and with no injector it is pure
-	// passthrough to the OS.
 	e.spill = &spillStore{metrics: &e.metrics, budget: -1}
-	e.spill.fs = newChaosFS(osFS{}, e.Chaos)
 	for _, opt := range opts {
 		opt(e)
 	}
+	// The spill store's filesystem is always the chaos wrapper; with no
+	// injector it is pure passthrough to the OS.
+	e.spill.fs = newChaosFS(osFS{}, e.inj)
 	return e
 }
 
@@ -141,10 +128,7 @@ func (e *Engine) SpillDir() string {
 func (e *Engine) RetryPolicy() chaos.RetryPolicy { return e.policy }
 
 // Chaos returns the engine's fault injector, or nil when disarmed.
-func (e *Engine) Chaos() *chaos.Injector { return e.inj.Load() }
-
-// SetChaos arms (or, with nil, disarms) the engine's fault injector.
-func (e *Engine) SetChaos(inj *chaos.Injector) { e.inj.Store(inj) }
+func (e *Engine) Chaos() *chaos.Injector { return e.inj }
 
 // Workers reports the configured worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
@@ -175,25 +159,6 @@ func (e *Engine) AccountReduceOps(n int64) {
 func (e *Engine) AccountBatches(batches, records int64) {
 	e.metrics.BatchesProcessed.Add(batches)
 	e.metrics.RecordsBatched.Add(records)
-}
-
-// InjectFaults arranges for the next n task attempts to fail artificially.
-// The scheduler retries them from lineage, exercising the fault-tolerance
-// path that commutativity/associativity enable. Legacy compatibility shim
-// over the chaos injector's counted-fault queue: if no injector is armed, a
-// zero-rate one is installed to carry the count.
-func (e *Engine) InjectFaults(n int) {
-	if n <= 0 {
-		return
-	}
-	inj := e.inj.Load()
-	if inj == nil {
-		inj = chaos.New(chaos.Policy{})
-		if !e.inj.CompareAndSwap(nil, inj) {
-			inj = e.inj.Load()
-		}
-	}
-	inj.AddCountedFaults(n)
 }
 
 // ErrTaskFailed is returned when a task keeps failing after all retry
@@ -248,7 +213,6 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 	if workers > n {
 		workers = n
 	}
-	inj := e.inj.Load()
 	budget := e.policy.NewBudget()
 
 	var (
@@ -260,7 +224,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 		// Slot loss: the worker never joins the pool and its share of tasks
 		// redistributes to the survivors. Slot 0 is immune (chaos guarantees
 		// it), so the job always makes progress.
-		if inj.SlotLost(site, w) {
+		if e.inj.SlotLost(site, w) {
 			e.metrics.SlotsLost.Add(1)
 			continue
 		}
@@ -276,7 +240,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 				if i >= n || firstErr.get() != nil {
 					return
 				}
-				if err := e.runOneTask(ctx, site, i, budget, inj, task); err != nil {
+				if err := e.runOneTask(ctx, site, i, budget, task); err != nil {
 					firstErr.set(err)
 					return
 				}
@@ -287,7 +251,7 @@ func (e *Engine) runTasks(ctx context.Context, site string, n int, task func(ctx
 	return firstErr.get()
 }
 
-func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *chaos.Budget, inj *chaos.Injector, task func(ctx context.Context, i int) error) error {
+func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *chaos.Budget, task func(ctx context.Context, i int) error) error {
 	maxAttempts := e.policy.Attempts()
 	var lastErr error
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
@@ -311,12 +275,12 @@ func (e *Engine) runOneTask(ctx context.Context, site string, i int, budget *cha
 			}
 		}
 		e.metrics.TaskAttempts.Add(1)
-		if inj.TaskFault(site, i, attempt) {
+		if e.inj.TaskFault(site, i, attempt) {
 			e.metrics.TaskFaults.Add(1)
 			lastErr = fmt.Errorf("%w: %s: task %d attempt %d", chaos.ErrInjected, site, i, attempt)
 			continue // retry: recompute from lineage
 		}
-		if d := inj.TaskDelay(site, i, attempt); d > 0 {
+		if d := e.inj.TaskDelay(site, i, attempt); d > 0 {
 			e.metrics.StragglersInjected.Add(1)
 			if !sleepCtx(ctx, d) {
 				return ctx.Err()

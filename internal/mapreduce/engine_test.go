@@ -4,31 +4,52 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"upa/internal/chaos"
 )
 
+// seededFaults returns an injector failing task attempts at rate under a
+// pinned seed. Every fault is a pure hash of (seed, site, task, attempt), so
+// a test sees the same faults on every run.
+func seededFaults(seed uint64, rate float64) *chaos.Injector {
+	return chaos.New(chaos.Policy{Seed: seed, TaskFaultRate: rate})
+}
+
+// assertFaultsFired checks that the injector fired and that the engine
+// counted exactly the faults the injector reports.
+func assertFaultsFired(t *testing.T, eng *Engine, inj *chaos.Injector) {
+	t.Helper()
+	got, want := eng.Metrics().TaskFaults, inj.Snapshot().Faults
+	if want == 0 {
+		t.Fatal("the seeded injector fired no fault")
+	}
+	if got != want {
+		t.Errorf("TaskFaults = %d, injector reports %d faults", got, want)
+	}
+	t.Logf("seeded injector fired %d faults", want)
+}
+
 func TestEngineOptions(t *testing.T) {
-	e := NewEngine(WithWorkers(0), WithMaxAttempts(0))
+	e := NewEngine(WithWorkers(0), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 0}))
 	if e.Workers() != 1 {
 		t.Errorf("Workers = %d, want clamp to 1", e.Workers())
 	}
 	if got := e.RetryPolicy().Attempts(); got != 1 {
 		t.Errorf("Attempts = %d, want clamp to 1", got)
 	}
-	e = NewEngine(WithWorkers(4), WithMaxAttempts(5))
+	e = NewEngine(WithWorkers(4), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}))
 	if e.Workers() != 4 || e.RetryPolicy().MaxAttempts != 5 {
 		t.Errorf("options not applied: %d workers, %d attempts", e.Workers(), e.RetryPolicy().MaxAttempts)
 	}
 }
 
 func TestFaultInjectionRecovers(t *testing.T) {
-	eng := NewEngine(WithWorkers(2), WithMaxAttempts(3))
+	inj := seededFaults(1, 0.3)
+	eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 3}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(100), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two faults with a three-attempt budget: even if one task absorbs
-	// both, it still has a successful attempt left.
-	eng.InjectFaults(2)
 	sum, err := Reduce(Map(d, func(x int) int { return x }), func(a, b int) int { return a + b })
 	if err != nil {
 		t.Fatalf("job failed despite retry budget: %v", err)
@@ -36,42 +57,46 @@ func TestFaultInjectionRecovers(t *testing.T) {
 	if sum != 4950 {
 		t.Fatalf("recovered result = %d, want 4950", sum)
 	}
+	assertFaultsFired(t, eng, inj)
 	m := eng.Metrics()
-	if m.TaskFaults != 2 {
-		t.Errorf("TaskFaults = %d, want 2", m.TaskFaults)
-	}
 	if m.TaskAttempts <= m.TasksRun {
 		t.Errorf("no retries recorded: attempts %d, runs %d", m.TaskAttempts, m.TasksRun)
 	}
 }
 
 func TestFaultInjectionExhaustsRetries(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(2))
+	// The seed fails both attempts of the single task.
+	inj := seededFaults(1, 0.9)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 2}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.InjectFaults(10) // more faults than the single task's attempt budget
 	_, err = d.Collect()
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("Collect error = %v, want ErrTaskFailed", err)
+	}
+	assertFaultsFired(t, eng, inj)
+	if got := inj.Snapshot().Faults; got != 2 {
+		t.Errorf("faults = %d, want 2 (every attempt of the task)", got)
 	}
 }
 
 func TestFaultRecomputesFromLineage(t *testing.T) {
 	// A fault on the final collect must recompute through the whole
 	// narrow-transformation chain and still give the right answer.
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(5))
+	inj := seededFaults(1, 0.3)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(10), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	chain := Filter(Map(d, func(x int) int { return x + 1 }), func(x int) bool { return x%2 == 0 })
-	eng.InjectFaults(1)
 	got, err := chain.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertFaultsFired(t, eng, inj)
 	want := []int{2, 4, 6, 8, 10}
 	if len(got) != len(want) {
 		t.Fatalf("Collect = %v, want %v", got, want)
@@ -86,8 +111,8 @@ func TestFaultRecomputesFromLineage(t *testing.T) {
 func TestWideTransformSurvivesFaults(t *testing.T) {
 	// A fault during a shuffled job must recompute through the whole wide
 	// lineage and produce the exact same grouped result.
-	run := func(faults int) map[int]int {
-		eng := NewEngine(WithWorkers(2), WithMaxAttempts(5))
+	run := func(inj *chaos.Injector) map[int]int {
+		eng := NewEngine(WithWorkers(2), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}), WithChaos(inj))
 		var pairs []Pair[int, int]
 		for i := 0; i < 500; i++ {
 			pairs = append(pairs, Pair[int, int]{Key: i % 7, Value: i})
@@ -96,12 +121,12 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if faults > 0 {
-			eng.InjectFaults(faults)
-		}
 		got, err := ReduceByKey(d, func(a, b int) int { return a + b }).Collect()
 		if err != nil {
-			t.Fatalf("shuffled job with %d faults failed: %v", faults, err)
+			t.Fatalf("shuffled job under %+v failed: %v", inj.Policy(), err)
+		}
+		if inj != nil {
+			assertFaultsFired(t, eng, inj)
 		}
 		out := make(map[int]int, len(got))
 		for _, p := range got {
@@ -109,8 +134,8 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 		}
 		return out
 	}
-	clean := run(0)
-	faulty := run(3)
+	clean := run(nil)
+	faulty := run(seededFaults(1, 0.2))
 	if len(clean) != len(faulty) {
 		t.Fatalf("group counts differ: %d vs %d", len(clean), len(faulty))
 	}
@@ -122,17 +147,18 @@ func TestWideTransformSurvivesFaults(t *testing.T) {
 }
 
 func TestPersistedDatasetSurvivesFaults(t *testing.T) {
-	eng := NewEngine(WithWorkers(1), WithMaxAttempts(4))
+	inj := seededFaults(2, 0.2)
+	eng := NewEngine(WithWorkers(1), WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 4}), WithChaos(inj))
 	d, err := FromSlice(eng, intsUpTo(200), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	squared := Map(d, func(x int) int { return x * x }).Persist()
-	eng.InjectFaults(2)
 	first, err := squared.Collect()
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertFaultsFired(t, eng, inj)
 	// The persisted materialization is complete and reusable after faults.
 	mappedBefore := eng.Metrics().RecordsMapped
 	second, err := squared.Collect()
@@ -222,7 +248,7 @@ func TestRunTasksZero(t *testing.T) {
 }
 
 func TestApplicationErrorNotRetried(t *testing.T) {
-	eng := NewEngine(WithMaxAttempts(5))
+	eng := NewEngine(WithRetryPolicy(chaos.RetryPolicy{MaxAttempts: 5}))
 	appErr := errors.New("app failure")
 	calls := 0
 	err := eng.runTasks(context.Background(), "test:app-error", 1, func(context.Context, int) error {

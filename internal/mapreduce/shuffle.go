@@ -130,7 +130,6 @@ func (s *shuffled[K, V]) bucket(ctx context.Context, d *Dataset[Pair[K, V]], num
 // engine's fault-invariant metrics accounting.
 func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]], numParts int) (*partStore[Pair[K, V]], error) {
 	eng := d.eng
-	inj := eng.inj.Load()
 	site := d.name + ":shuffle"
 	maxAttempts := eng.policy.Attempts()
 	budget := eng.policy.NewBudget()
@@ -152,7 +151,7 @@ func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[
 				}
 			}
 		}
-		if inj.ShuffleError(site, attempt) {
+		if eng.inj.ShuffleError(site, attempt) {
 			lastErr = fmt.Errorf("%w: %s: shuffle attempt %d", chaos.ErrInjected, site, attempt)
 			continue
 		}
@@ -168,20 +167,6 @@ func shuffleWithRetry[K comparable, V any](ctx context.Context, d *Dataset[Pair[
 	}
 	return nil, fmt.Errorf("%w: %s: gave up after %d attempts: %w",
 		ErrTaskFailed, site, maxAttempts, lastErr)
-}
-
-// joinContexts combines a construction-time bound context with the
-// per-action call context: the returned context is cancelled when either is.
-// A nil or Background bound context adds nothing. The returned stop function
-// releases the watcher and must be called when the computation finishes.
-func joinContexts(bound, call context.Context) (context.Context, context.CancelFunc) {
-	//upa:allow(ctxpropagation) sentinel comparison against the Background singleton, not a new root context
-	if bound == nil || bound == context.Background() {
-		return call, func() {}
-	}
-	merged, cancel := context.WithCancel(call)
-	stop := context.AfterFunc(bound, cancel)
-	return merged, func() { stop(); cancel() }
 }
 
 // CombineByKey is the engine's map-side-combining wide transformation, the
@@ -200,13 +185,7 @@ func joinContexts(bound, call context.Context) (context.Context, context.CancelF
 // deterministic first-seen order within each partition, identical to the
 // order a combine-less shuffle would produce.
 func CombineByKey[K comparable, V, C any](d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
-	return combineByKey(nil, d, "combineByKey", create, mergeValue, mergeCombiners)
-}
-
-// CombineByKeyCtx is CombineByKey with a bound context: cancelling ctx
-// aborts the shuffle even when the dataset is later collected without one.
-func CombineByKeyCtx[K comparable, V, C any](ctx context.Context, d *Dataset[Pair[K, V]], create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
-	return combineByKey(ctx, d, "combineByKey", create, mergeValue, mergeCombiners)
+	return combineByKey(d, "combineByKey", create, mergeValue, mergeCombiners)
 }
 
 // mapSideCombine folds each source partition's records into one combiner per
@@ -245,14 +224,12 @@ func mapSideCombine[K comparable, V, C any](d *Dataset[Pair[K, V]], create func(
 
 // combineByKey wires the map-side combine ahead of the shuffle and merges
 // the per-partition combiners per destination bucket.
-func combineByKey[K comparable, V, C any](bound context.Context, d *Dataset[Pair[K, V]], name string, create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
+func combineByKey[K comparable, V, C any](d *Dataset[Pair[K, V]], name string, create func(V) C, mergeValue func(C, V) C, mergeCombiners Reducer[C]) *Dataset[Pair[K, C]] {
 	combined := mapSideCombine(d, create, mergeValue)
 	sh := &shuffled[K, C]{}
 	numParts := d.numParts
 	return derived[Pair[K, C], Pair[K, C]](combined, name, numParts, func(ctx context.Context, p int) ([]Pair[K, C], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		bucket, err := sh.bucket(sctx, combined, numParts, p)
+		bucket, err := sh.bucket(ctx, combined, numParts, p)
 		if err != nil {
 			return nil, err
 		}
@@ -283,13 +260,7 @@ func combineByKey[K comparable, V, C any](bound context.Context, d *Dataset[Pair
 // partition, and because f is associative the combined values are exactly
 // the values a combine-less fold would have produced.
 func ReduceByKey[K comparable, V any](d *Dataset[Pair[K, V]], f Reducer[V]) *Dataset[Pair[K, V]] {
-	return combineByKey(nil, d, "reduceByKey", func(v V) V { return v }, f, f)
-}
-
-// ReduceByKeyCtx is ReduceByKey with a bound context: cancelling ctx aborts
-// the shuffle even when the dataset is later collected without one.
-func ReduceByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]], f Reducer[V]) *Dataset[Pair[K, V]] {
-	return combineByKey(ctx, d, "reduceByKey", func(v V) V { return v }, f, f)
+	return combineByKey(d, "reduceByKey", func(v V) V { return v }, f, f)
 }
 
 // GroupByKey gathers all values of each key into a slice, in deterministic
@@ -297,22 +268,10 @@ func ReduceByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K,
 // grouping eliminates nothing, so every record ships to its bucket (the same
 // reason Spark's groupByKey never combines).
 func GroupByKey[K comparable, V any](d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return groupByKey(nil, d)
-}
-
-// GroupByKeyCtx is GroupByKey with a bound context: cancelling ctx aborts
-// the shuffle even when the dataset is later collected without one.
-func GroupByKeyCtx[K comparable, V any](ctx context.Context, d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
-	return groupByKey(ctx, d)
-}
-
-func groupByKey[K comparable, V any](bound context.Context, d *Dataset[Pair[K, V]]) *Dataset[Pair[K, []V]] {
 	sh := &shuffled[K, V]{}
 	numParts := d.numParts
 	return derived[Pair[K, V], Pair[K, []V]](d, "groupByKey", numParts, func(ctx context.Context, p int) ([]Pair[K, []V], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		bucket, err := sh.bucket(sctx, d, numParts, p)
+		bucket, err := sh.bucket(ctx, d, numParts, p)
 		if err != nil {
 			return nil, err
 		}
@@ -349,16 +308,6 @@ type Joined[V, W any] struct {
 // dataset against a narrow one never squeezes the wide side through the
 // narrow side's partition count. The output has that many partitions.
 func Join[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[V, W]]], error) {
-	return joinCtx(nil, a, b)
-}
-
-// JoinCtx is Join with a bound context: cancelling ctx aborts the shuffles
-// even when the dataset is later collected without one.
-func JoinCtx[K comparable, V, W any](ctx context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[V, W]]], error) {
-	return joinCtx(ctx, a, b)
-}
-
-func joinCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[V, W]]], error) {
 	if a.eng != b.eng {
 		return nil, fmt.Errorf("mapreduce: join across engines")
 	}
@@ -366,13 +315,11 @@ func joinCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V
 	shB := &shuffled[K, W]{}
 	numParts := max(a.numParts, b.numParts)
 	child := derived[Pair[K, V], Pair[K, Joined[V, W]]](a, "join", numParts, func(ctx context.Context, p int) ([]Pair[K, Joined[V, W]], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		left, err := shA.bucket(sctx, a, numParts, p)
+		left, err := shA.bucket(ctx, a, numParts, p)
 		if err != nil {
 			return nil, err
 		}
-		right, err := shB.bucket(sctx, b, numParts, p)
+		right, err := shB.bucket(ctx, b, numParts, p)
 		if err != nil {
 			return nil, err
 		}
@@ -401,16 +348,6 @@ func joinCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V
 // Two shuffle rounds. Like Join, both sides are rebucketed into
 // max(a.NumPartitions(), b.NumPartitions()) buckets.
 func CoGroup[K comparable, V, W any](a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
-	return coGroupCtx(nil, a, b)
-}
-
-// CoGroupCtx is CoGroup with a bound context: cancelling ctx aborts the
-// shuffles even when the dataset is later collected without one.
-func CoGroupCtx[K comparable, V, W any](ctx context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
-	return coGroupCtx(ctx, a, b)
-}
-
-func coGroupCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K, V]], b *Dataset[Pair[K, W]]) (*Dataset[Pair[K, Joined[[]V, []W]]], error) {
 	if a.eng != b.eng {
 		return nil, fmt.Errorf("mapreduce: cogroup across engines")
 	}
@@ -418,13 +355,11 @@ func coGroupCtx[K comparable, V, W any](bound context.Context, a *Dataset[Pair[K
 	shB := &shuffled[K, W]{}
 	numParts := max(a.numParts, b.numParts)
 	child := derived[Pair[K, V], Pair[K, Joined[[]V, []W]]](a, "cogroup", numParts, func(ctx context.Context, p int) ([]Pair[K, Joined[[]V, []W]], error) {
-		sctx, stop := joinContexts(bound, ctx)
-		defer stop()
-		left, err := shA.bucket(sctx, a, numParts, p)
+		left, err := shA.bucket(ctx, a, numParts, p)
 		if err != nil {
 			return nil, err
 		}
-		right, err := shB.bucket(sctx, b, numParts, p)
+		right, err := shB.bucket(ctx, b, numParts, p)
 		if err != nil {
 			return nil, err
 		}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 
@@ -254,6 +255,11 @@ func (st *Store) Append(e entry) error {
 // Flush writes the compacted state as a fresh snapshot (atomically, via
 // rename) and truncates the journal. Call it on graceful shutdown or
 // periodically; the journal alone is always sufficient for replay.
+//
+// The snapshot is durable before the journal is touched: the temp file is
+// fsynced before the rename and the directory after it. Otherwise a power
+// cut could leave an empty or stale snapshot beside an already-emptied
+// journal, losing acknowledged ε charges.
 func (st *Store) Flush(compacted []entry) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -266,10 +272,13 @@ func (st *Store) Flush(compacted []entry) error {
 	data = append(data, fmt.Sprintf("%s%08x\n", snapshotChecksumPrefix, checksum.Sum(body))...)
 	data = append(data, body...)
 	tmp := st.snapPath + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+	if err := writeFileSync(tmp, data); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, st.snapPath); err != nil {
+		return err
+	}
+	if err := syncDir(filepath.Dir(st.snapPath)); err != nil {
 		return err
 	}
 	if st.journal != nil {
@@ -281,6 +290,36 @@ func (st *Store) Flush(compacted []entry) error {
 		}
 	}
 	return nil
+}
+
+// writeFileSync writes data to path and fsyncs it before closing.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // Close closes the journal file. It does not flush: callers decide whether

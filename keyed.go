@@ -72,13 +72,14 @@ func ReleaseByKey[T any, K comparable](s *Session, q KeyedQuery[T, K], data []T,
 	if len(data) < 2 {
 		return nil, fmt.Errorf("upa: keyed query %q needs at least two records", q.Name)
 	}
-	eps := s.sys.Config().Epsilon
-	if err := s.debit(eps); err != nil {
+	// Disjoint groups compose in parallel: the whole keyed release is one
+	// ε-unit.
+	if err := s.debit(1); err != nil {
 		return nil, err
 	}
 	res, err := releaseByKey(s, q, data, domain)
 	if err != nil {
-		s.credit(eps)
+		s.credit(1)
 		return nil, err
 	}
 	return res, nil

@@ -38,9 +38,10 @@ import (
 )
 
 // ErrBudgetExhausted is returned by Release when the session's total
-// privacy budget (WithTotalBudget) cannot cover another ε-release. Under
-// sequential composition, each release spends its ε; once the ledger is
-// empty no further information about the data may be released.
+// privacy budget (WithTotalBudget) cannot cover another release. Under
+// sequential composition, each release spends ε per ε-unit of its price
+// (core.ReleasePrice); once the ledger is empty no further information
+// about the data may be released.
 var ErrBudgetExhausted = errors.New("upa: session privacy budget exhausted")
 
 // RNG is the deterministic randomness source handed to domain samplers.
@@ -56,13 +57,14 @@ type Session struct {
 	sys *core.System
 
 	// budgetMu guards the composition ledger; totalBudget == 0 means
-	// unlimited.
-	budgetMu     sync.Mutex
-	totalBudget  float64
-	spentBudget  float64
-	releaseCount int
-	composition  Composition
-	delta        float64
+	// unlimited. units counts the ε-units admitted so far, as priced by
+	// core.ReleasePrice.
+	budgetMu    sync.Mutex
+	totalBudget float64
+	spentBudget float64
+	units       int
+	composition Composition
+	delta       float64
 }
 
 // Option configures a Session.
@@ -104,9 +106,11 @@ func WithWorkers(n int) Option {
 }
 
 // WithTotalBudget caps the session's cumulative privacy spend: under
-// sequential composition, k releases at ε each consume k·ε, and Release
-// returns ErrBudgetExhausted once another release would exceed total.
-// Zero (the default) means no cap.
+// sequential composition, k ε-units consume k·ε — one unit per scalar or
+// split-vector release, d per d-dimensional vector release (see
+// core.ReleasePrice), one per keyed release — and Release returns
+// ErrBudgetExhausted once another
+// release would exceed total. Zero (the default) means no cap.
 func WithTotalBudget(total float64) Option {
 	return func(c *sessionConfig) { c.budget = total }
 }
@@ -124,16 +128,6 @@ func WithLogger(logger *slog.Logger) Option {
 // coordinate). Scalar queries are unaffected.
 func WithSplitVectorBudget() Option {
 	return func(c *sessionConfig) { c.core.SplitVectorBudget = true }
-}
-
-// WithChargeObserver registers fn to observe every ε-ledger charge the
-// instant a release commits it (the argument is the charged ε, after any
-// SplitVectorBudget division and output-dimension multiplication). Serving
-// layers that keep their own per-tenant admission ledgers use the observer
-// to reconcile admission-time pricing against the system's actual spend.
-// fn runs on the releasing goroutine and must not block.
-func WithChargeObserver(fn func(eps float64)) Option {
-	return func(c *sessionConfig) { c.core.OnCharge = fn }
 }
 
 // WithGroupSize extends the guarantee from individuals to groups of up to k
@@ -193,27 +187,27 @@ func (s *Session) RemainingBudget() float64 {
 	return s.totalBudget - s.spentBudget
 }
 
-// debit reserves one more ε-release in the ledger, failing when the
+// debit reserves units more ε-units in the ledger, failing when the
 // composed spend would exceed the budget.
-func (s *Session) debit(eps float64) error {
+func (s *Session) debit(units int) error {
 	s.budgetMu.Lock()
 	defer s.budgetMu.Unlock()
-	next := composedEpsilon(s.Composition(), eps, s.releaseCount+1, s.delta)
+	next := composedEpsilon(s.Composition(), s.Epsilon(), s.units+units, s.delta)
 	if s.totalBudget > 0 && next > s.totalBudget+1e-12 {
-		return fmt.Errorf("%w: %d releases compose to %.4g, budget %.4g cannot cover another",
-			ErrBudgetExhausted, s.releaseCount, s.spentBudget, s.totalBudget)
+		return fmt.Errorf("%w: %d ε-units compose to %.4g, budget %.4g cannot cover %d more",
+			ErrBudgetExhausted, s.units, s.spentBudget, s.totalBudget, units)
 	}
-	s.releaseCount++
+	s.units += units
 	s.spentBudget = next
 	return nil
 }
 
-// credit refunds a reserved release when it fails before touching data.
-func (s *Session) credit(eps float64) {
+// credit refunds a reservation when its release fails before touching data.
+func (s *Session) credit(units int) {
 	s.budgetMu.Lock()
 	defer s.budgetMu.Unlock()
-	s.releaseCount--
-	s.spentBudget = composedEpsilon(s.Composition(), eps, s.releaseCount, s.delta)
+	s.units -= units
+	s.spentBudget = composedEpsilon(s.Composition(), s.Epsilon(), s.units, s.delta)
 }
 
 // Epsilon reports the session's per-release privacy budget.
@@ -321,14 +315,14 @@ func Release[T any](s *Session, q Query[T], data []T, domain func(*RNG) T) (*Res
 	if err != nil {
 		return nil, err
 	}
-	eps := s.sys.Config().Epsilon
-	if err := s.debit(eps); err != nil {
+	_, units := core.ReleasePrice(s.sys.Config(), cq.OutputDim)
+	if err := s.debit(units); err != nil {
 		return nil, err
 	}
 	res, err := core.Run(s.sys, cq, data, domain)
 	if err != nil {
 		// Nothing was released, so the reserved budget is refunded.
-		s.credit(eps)
+		s.credit(units)
 		return nil, err
 	}
 	return &Result{
